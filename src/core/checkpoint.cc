@@ -4,13 +4,16 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
-#include <type_traits>
 
 #include "analysis/validate.h"
+#include "common/bytes.h"
 #include "common/crc32.h"
 
 namespace sgnn::core {
 
+using common::PutBytes;
+using common::PutPod;
+using common::PutString;
 using common::Status;
 using common::StatusOr;
 
@@ -18,62 +21,6 @@ namespace {
 
 constexpr char kMagic[8] = {'S', 'G', 'N', 'N', 'C', 'K', 'P', 'T'};
 constexpr uint32_t kVersion = 1;
-
-// ---- little serialisation helpers over a growable byte buffer ----------
-
-void PutBytes(std::string* buf, const void* data, size_t n) {
-  buf->append(static_cast<const char*>(data), n);
-}
-
-template <typename T>
-void PutPod(std::string* buf, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PutBytes(buf, &v, sizeof(v));
-}
-
-void PutString(std::string* buf, const std::string& s) {
-  PutPod<uint32_t>(buf, static_cast<uint32_t>(s.size()));
-  PutBytes(buf, s.data(), s.size());
-}
-
-/// Bounds-checked forward reader over the loaded snapshot bytes. Every
-/// getter reports underrun through `ok`, so a truncated file surfaces as a
-/// framing error instead of undefined behaviour.
-struct Cursor {
-  const char* p;
-  size_t left;
-  bool ok = true;
-
-  bool Take(void* out, size_t n) {
-    if (!ok || n > left) {
-      ok = false;
-      return false;
-    }
-    std::memcpy(out, p, n);
-    p += n;
-    left -= n;
-    return true;
-  }
-
-  template <typename T>
-  T Pod() {
-    T v{};
-    Take(&v, sizeof(v));
-    return v;
-  }
-
-  std::string Str() {
-    const uint32_t n = Pod<uint32_t>();
-    if (!ok || n > left) {
-      ok = false;
-      return {};
-    }
-    std::string s(p, n);
-    p += n;
-    left -= n;
-    return s;
-  }
-};
 
 std::string Serialize(const PipelineSnapshot& snap) {
   std::string buf;
@@ -171,7 +118,7 @@ StatusOr<PipelineSnapshot> LoadSnapshot(const std::string& path,
     return Corrupt(path, "CRC mismatch");
   }
 
-  Cursor cur{bytes.data(), payload_size};
+  common::ByteCursor cur{bytes.data(), payload_size};
   char magic[sizeof(kMagic)];
   cur.Take(magic, sizeof(magic));
   if (!cur.ok || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {

@@ -57,28 +57,45 @@ HaloPlan BuildHaloPlan(const graph::CsrGraph& graph,
   return plan;
 }
 
-std::string EncodeRows(const std::vector<NodeId>& ids,
-                       const tensor::Matrix& src) {
-  const int64_t cols = src.cols();
-  const size_t record = sizeof(uint32_t) + static_cast<size_t>(cols) *
-                                               sizeof(float);
-  std::string payload;
-  payload.resize(sizeof(uint32_t) + ids.size() * record);
+namespace {
+
+/// The row-batch codec body; record i carries `ids[i]` and `row(i)`.
+template <typename RowFn>
+std::string Encode(std::span<const NodeId> ids, int64_t cols, RowFn&& row) {
+  const size_t row_bytes = static_cast<size_t>(cols) * sizeof(float);
+  const size_t record = sizeof(uint32_t) + row_bytes;
+  std::string payload(sizeof(uint32_t) + ids.size() * record, '\0');
   char* p = payload.data();
   const uint32_t count = static_cast<uint32_t>(ids.size());
   std::memcpy(p, &count, sizeof(count));
   p += sizeof(count);
-  for (const NodeId id : ids) {
-    const uint32_t raw = static_cast<uint32_t>(id);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const uint32_t raw = static_cast<uint32_t>(ids[i]);
     std::memcpy(p, &raw, sizeof(raw));
     p += sizeof(raw);
-    std::memcpy(p, src.Row(id).data(),
-                static_cast<size_t>(cols) * sizeof(float));
-    p += static_cast<size_t>(cols) * sizeof(float);
+    std::memcpy(p, row(i), row_bytes);
+    p += row_bytes;
   }
-  common::GlobalCounters().floats_moved +=
-      static_cast<uint64_t>(ids.size()) * static_cast<uint64_t>(cols);
   return payload;
+}
+
+}  // namespace
+
+std::string EncodeRows(const std::vector<NodeId>& ids,
+                       const tensor::Matrix& src) {
+  std::string payload = Encode(ids, src.cols(), [&](size_t i) {
+    return src.Row(ids[i]).data();
+  });
+  common::GlobalCounters().floats_moved +=
+      static_cast<uint64_t>(ids.size()) * static_cast<uint64_t>(src.cols());
+  return payload;
+}
+
+std::string EncodeRowBlock(std::span<const NodeId> ids,
+                           const tensor::Matrix& block, int64_t first_row) {
+  return Encode(ids, block.cols(), [&](size_t i) {
+    return block.Row(first_row + static_cast<int64_t>(i)).data();
+  });
 }
 
 Status DecodeRows(

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,11 @@ HaloPlan BuildHaloPlan(const graph::CsrGraph& graph,
 /// recomputation bit-identical to the original.
 std::string EncodeRows(const std::vector<graph::NodeId>& ids,
                        const tensor::Matrix& src);
+
+/// The same payload for rows [first_row, first_row + ids.size()) of
+/// `block`, keyed by `ids` (a worker's owned result rows).
+std::string EncodeRowBlock(std::span<const graph::NodeId> ids,
+                           const tensor::Matrix& block, int64_t first_row);
 
 /// Decodes a row batch, invoking `sink(id, row)` per record with `row`
 /// pointing at `cols` floats. Framing errors are `kDataLoss`; a non-OK

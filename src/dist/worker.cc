@@ -4,77 +4,23 @@
 
 #include <algorithm>
 #include <cstring>
-#include <type_traits>
+#include <unordered_map>
 #include <utility>
 
+#include "common/bytes.h"
 #include "common/check.h"
-#include "common/counters.h"
 #include "dist/exchange.h"
 #include "dist/frame.h"
+#include "graph/spmm.h"
 #include "tensor/matrix.h"
 
 namespace sgnn::dist {
 
+using common::PutPod;
+using common::PutVec;
 using common::Status;
 using common::StatusOr;
 using graph::NodeId;
-
-namespace {
-
-// Same append/cursor serialisation idiom as storage/format.cc: PODs and
-// POD vectors into a growable buffer, read back bounds-checked so a short
-// payload is a framing error, never UB. (The frame CRC already catches
-// corruption; the cursor catches logic/version mismatches.)
-
-template <typename T>
-void PutPod(std::string* buf, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  buf->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-template <typename T>
-void PutVec(std::string* buf, const std::vector<T>& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PutPod<uint64_t>(buf, v.size());
-  buf->append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
-}
-
-struct Cursor {
-  const char* p;
-  size_t left;
-  bool ok = true;
-
-  bool Take(void* out, size_t n) {
-    if (!ok || n > left) {
-      ok = false;
-      return false;
-    }
-    std::memcpy(out, p, n);
-    p += n;
-    left -= n;
-    return true;
-  }
-
-  template <typename T>
-  T Pod() {
-    T v{};
-    Take(&v, sizeof(v));
-    return v;
-  }
-
-  template <typename T>
-  void Vec(std::vector<T>* out) {
-    const uint64_t n = Pod<uint64_t>();
-    if (!ok || n * sizeof(T) > left) {
-      ok = false;
-      return;
-    }
-    out->resize(n);
-    Take(out->data(), n * sizeof(T));
-  }
-};
-
-}  // namespace
 
 std::string WorkerSpec::Serialize() const {
   std::string buf;
@@ -93,8 +39,18 @@ std::string WorkerSpec::Serialize() const {
   return buf;
 }
 
-StatusOr<WorkerSpec> WorkerSpec::Parse(const std::string& payload) {
-  Cursor cur{payload.data(), payload.size()};
+namespace {
+
+/// Global id -> row slot of the worker's value store: owned rows first,
+/// then halo rows.
+using SlotMap = std::unordered_map<NodeId, NodeId>;
+
+/// `WorkerSpec::Parse`, also resolving the slots a worker needs: `slots`
+/// for every owned/halo id, and `neighbor_slots[e]` for spec edge e — so
+/// an epoch does no id lookups.
+StatusOr<WorkerSpec> ParseResolved(const std::string& payload, SlotMap* slots,
+                                   std::vector<NodeId>* neighbor_slots) {
+  common::ByteCursor cur{payload.data(), payload.size()};
   WorkerSpec spec;
   spec.worker_id = cur.Pod<int32_t>();
   spec.num_workers = cur.Pod<int32_t>();
@@ -120,7 +76,36 @@ StatusOr<WorkerSpec> WorkerSpec::Parse(const std::string& payload) {
       (!spec.offsets.empty() && spec.offsets.back() != spec.neighbors.size())) {
     return Status::DataLoss("inconsistent worker spec");
   }
+  if (!std::is_sorted(spec.offsets.begin(), spec.offsets.end())) {
+    return Status::DataLoss("worker spec offsets not monotone");
+  }
+  slots->clear();
+  slots->reserve(spec.owned.size() + spec.halo.size());
+  for (size_t i = 0; i < spec.owned.size(); ++i) {
+    slots->emplace(spec.owned[i], static_cast<NodeId>(i));
+  }
+  for (size_t i = 0; i < spec.halo.size(); ++i) {
+    slots->emplace(spec.halo[i], static_cast<NodeId>(spec.owned.size() + i));
+  }
+  neighbor_slots->clear();
+  neighbor_slots->reserve(spec.neighbors.size());
+  for (const NodeId id : spec.neighbors) {
+    auto it = slots->find(id);
+    if (it == slots->end()) {
+      return Status::DataLoss("worker spec neighbour " + std::to_string(id) +
+                              " neither owned nor haloed");
+    }
+    neighbor_slots->push_back(it->second);
+  }
   return spec;
+}
+
+}  // namespace
+
+StatusOr<WorkerSpec> WorkerSpec::Parse(const std::string& payload) {
+  SlotMap slots;
+  std::vector<NodeId> neighbor_slots;
+  return ParseResolved(payload, &slots, &neighbor_slots);
 }
 
 namespace {
@@ -130,79 +115,24 @@ struct WorkerState {
   WorkerSpec spec;
   tensor::Matrix local;  ///< Owned rows first, then halo rows.
   tensor::Matrix out;    ///< One row per owned node, epoch scratch.
-  /// Global node id -> row slot in `local`; linear scan is avoided with a
-  /// sorted-merge-friendly map (ids arrive sorted, lookups are random).
-  std::vector<std::pair<NodeId, int64_t>> slots;  ///< Sorted by id.
-
-  int64_t SlotOf(NodeId id) const {
-    auto it = std::lower_bound(
-        slots.begin(), slots.end(), id,
-        [](const std::pair<NodeId, int64_t>& s, NodeId v) {
-          return s.first < v;
-        });
-    if (it == slots.end() || it->first != id) return -1;
-    return it->second;
-  }
+  SlotMap slots;
+  std::vector<NodeId> neighbor_slots;  ///< Per spec edge.
 };
 
-/// Encodes rows [begin, begin+count) of `state.out` as a row-batch
-/// payload keyed by their global ids (matches `DecodeRows`).
-std::string EncodeOutChunk(const WorkerState& state, size_t begin,
-                           size_t count) {
-  const int64_t cols = state.spec.cols;
-  const size_t record = sizeof(uint32_t) + static_cast<size_t>(cols) *
-                                               sizeof(float);
-  std::string payload;
-  payload.resize(sizeof(uint32_t) + count * record);
-  char* p = payload.data();
-  const uint32_t n = static_cast<uint32_t>(count);
-  std::memcpy(p, &n, sizeof(n));
-  p += sizeof(n);
-  for (size_t i = begin; i < begin + count; ++i) {
-    const uint32_t raw = static_cast<uint32_t>(state.spec.owned[i]);
-    std::memcpy(p, &raw, sizeof(raw));
-    p += sizeof(raw);
-    std::memcpy(p, state.out.Row(static_cast<int64_t>(i)).data(),
-                static_cast<size_t>(cols) * sizeof(float));
-    p += static_cast<size_t>(cols) * sizeof(float);
-  }
-  return payload;
-}
-
-/// One epoch of local aggregation: the exact per-row loop of
-/// `Propagator::Apply` (same accumulation order, same float coefficients,
-/// self-loop term last), just indirected through the local slot table.
+/// One epoch of local aggregation: the shared SpMM row body over the
+/// owned rows, on the calling thread (no `par` pool survives `fork`).
 void ComputeEpoch(WorkerState* state) {
   const WorkerSpec& spec = state->spec;
-  const int64_t cols = spec.cols;
   state->out.Zero();
-  for (size_t i = 0; i < spec.owned.size(); ++i) {
-    float* orow = state->out.Row(static_cast<int64_t>(i)).data();
-    const uint64_t begin = spec.offsets[i];
-    const uint64_t end = spec.offsets[i + 1];
-    for (uint64_t e = begin; e < end; ++e) {
-      const float c = spec.coefficients[e];
-      if (c == 0.0f) continue;
-      const int64_t slot = state->SlotOf(spec.neighbors[e]);
-      SGNN_CHECK_GE(slot, 0);
-      const float* xrow = state->local.Row(slot).data();
-      for (int64_t j = 0; j < cols; ++j) orow[j] += c * xrow[j];
-    }
-    if (spec.self_loop[i] != 0.0f) {
-      const float c = spec.self_loop[i];
-      const float* xrow = state->local.Row(static_cast<int64_t>(i)).data();
-      for (int64_t j = 0; j < cols; ++j) orow[j] += c * xrow[j];
-    }
-  }
-  // Same billing as Propagator::Apply: every local edge is walked, and one
-  // feature row moves per edge (this worker's own counters; the
-  // coordinator aggregates per-process totals out of band).
-  const uint64_t edges =
-      spec.offsets.empty() ? 0 : spec.offsets[spec.owned.size()] -
-                                     spec.offsets[0];
-  auto& counters = common::GlobalCounters();
-  counters.edges_touched += edges;
-  counters.floats_moved += edges * static_cast<uint64_t>(cols);
+  const graph::CsrSpmmView<uint64_t> view{spec.offsets.data(),
+                                          state->neighbor_slots.data(),
+                                          spec.coefficients.data(),
+                                          spec.self_loop.data(),
+                                          state->local.data(),
+                                          state->out.data(),
+                                          spec.cols};
+  graph::SpmmRows(view, 0, static_cast<int64_t>(spec.owned.size()),
+                  spec.cols);
 }
 
 /// Stores a received row batch (scatter, restore, or halo) into the local
@@ -210,12 +140,12 @@ void ComputeEpoch(WorkerState* state) {
 Status StoreRows(WorkerState* state, const std::string& payload) {
   return DecodeRows(
       payload, state->spec.cols, [state](NodeId id, const float* row) {
-        const int64_t slot = state->SlotOf(id);
-        if (slot < 0) {
+        auto it = state->slots.find(id);
+        if (it == state->slots.end()) {
           return Status::DataLoss("row for node " + std::to_string(id) +
                                   " not owned or haloed here");
         }
-        std::memcpy(state->local.Row(slot).data(), row,
+        std::memcpy(state->local.Row(it->second).data(), row,
                     static_cast<size_t>(state->spec.cols) * sizeof(float));
         return Status::OK();
       });
@@ -238,7 +168,8 @@ void WorkerMain(int fd, common::FaultInjector* faults) {
     }
     switch (frame.type) {
       case FrameType::kConfig: {
-        auto spec_or = WorkerSpec::Parse(frame.payload);
+        auto spec_or = ParseResolved(frame.payload, &state.slots,
+                                     &state.neighbor_slots);
         if (!spec_or.ok()) _exit(2);
         state.spec = std::move(spec_or).value();
         const int64_t rows = static_cast<int64_t>(state.spec.owned.size()) +
@@ -246,18 +177,6 @@ void WorkerMain(int fd, common::FaultInjector* faults) {
         state.local = tensor::Matrix(rows, state.spec.cols);
         state.out = tensor::Matrix(
             static_cast<int64_t>(state.spec.owned.size()), state.spec.cols);
-        state.slots.clear();
-        state.slots.reserve(static_cast<size_t>(rows));
-        for (size_t i = 0; i < state.spec.owned.size(); ++i) {
-          state.slots.emplace_back(state.spec.owned[i],
-                                   static_cast<int64_t>(i));
-        }
-        for (size_t i = 0; i < state.spec.halo.size(); ++i) {
-          state.slots.emplace_back(
-              state.spec.halo[i],
-              static_cast<int64_t>(state.spec.owned.size() + i));
-        }
-        std::sort(state.slots.begin(), state.slots.end());
         configured = true;
         break;
       }
@@ -297,7 +216,9 @@ void WorkerMain(int fd, common::FaultInjector* faults) {
           Frame rows;
           rows.type = FrameType::kRows;
           rows.epoch = frame.epoch;
-          rows.payload = EncodeOutChunk(state, begin, count);
+          rows.payload = EncodeRowBlock(
+              std::span(state.spec.owned).subspan(begin, count), state.out,
+              static_cast<int64_t>(begin));
           if (!WriteFrame(fd, rows, nullptr, send_faults).ok()) _exit(4);
         }
         // Adopt the new values for the next epoch before reporting done.

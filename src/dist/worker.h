@@ -15,10 +15,10 @@ namespace sgnn::dist {
 /// shipped in one `kConfig` frame at spawn (and again at respawn, with a
 /// bumped `incarnation`). The adjacency arrives pre-normalised — neighbour
 /// ids plus the *float* propagation coefficients and self-loop terms the
-/// coordinator's `Propagator` computed — so the worker replays the exact
-/// per-row accumulation of `Propagator::Apply` on identical bits, which is
-/// what makes the distributed result bit-identical to the single-process
-/// one at any worker count and under any kill schedule.
+/// coordinator's `Propagator` computed — and the worker runs the same
+/// `graph::SpmmRows` body on those bits, so the distributed result is
+/// bit-identical to the single-process one at any worker count and under
+/// any kill schedule.
 struct WorkerSpec {
   int32_t worker_id = 0;
   int32_t num_workers = 0;
@@ -40,6 +40,9 @@ struct WorkerSpec {
   std::vector<float> self_loop;  ///< Per owned row.
 
   std::string Serialize() const;
+  /// `kDataLoss` for a truncated or oversized payload and for a spec a
+  /// worker could not run: inconsistent sizes, non-monotone offsets, or a
+  /// neighbour id in neither `owned` nor `halo`.
   static common::StatusOr<WorkerSpec> Parse(const std::string& payload);
 };
 

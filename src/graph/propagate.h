@@ -1,6 +1,7 @@
 #ifndef SGNN_GRAPH_PROPAGATE_H_
 #define SGNN_GRAPH_PROPAGATE_H_
 
+#include <cmath>
 #include <vector>
 
 #include "common/check.h"
@@ -16,6 +17,40 @@ enum class Normalization {
   kColumn,     ///< A D^-1            (PPR transition transpose)
   kSymmetric,  ///< D^-1/2 A D^-1/2   (GCN convolution)
 };
+
+/// The normalised coefficient of a stored edge u->v of weight `w`, given
+/// the weighted degrees of both ends (self-loop +1 included): one double
+/// expression, then one float cast. Every tier computes its coefficients
+/// here — the in-memory `Propagator` once up front, `OocPropagator` per
+/// edge on the fly — so they apply the identical float.
+inline float EdgeCoefficient(Normalization norm, float w, double deg_u,
+                             double deg_v) {
+  auto inv = [](double d) { return d > 0.0 ? 1.0 / d : 0.0; };
+  auto inv_sqrt = [](double d) { return d > 0.0 ? 1.0 / std::sqrt(d) : 0.0; };
+  double c = w;
+  switch (norm) {
+    case Normalization::kNone:
+      break;
+    case Normalization::kRow:
+      c *= inv(deg_u);
+      break;
+    case Normalization::kColumn:
+      c *= inv(deg_v);
+      break;
+    case Normalization::kSymmetric:
+      c *= inv_sqrt(deg_u) * inv_sqrt(deg_v);
+      break;
+  }
+  return static_cast<float>(c);
+}
+
+/// The self-loop coefficient of a node of weighted degree `deg` (self-loop
+/// +1 included): 1 unnormalised, 1/deg otherwise (the symmetric
+/// 1/sqrt(d) * 1/sqrt(d) is taken as 1/d).
+inline float LoopCoefficient(Normalization norm, double deg) {
+  if (norm == Normalization::kNone) return 1.0f;
+  return static_cast<float>(deg > 0.0 ? 1.0 / deg : 0.0);
+}
 
 /// Precomputed normalised sparse operator \hat{A}; the message-passing /
 /// propagation kernel shared by all GNN models and decoupled methods.

@@ -32,13 +32,6 @@ double HistoricalEmbeddingCache::HitRate(std::span<const graph::NodeId> nodes,
   return static_cast<double>(hits) / static_cast<double>(nodes.size());
 }
 
-void HistoricalEmbeddingCache::Invalidate(graph::NodeId u) {
-  SGNN_CHECK_LT(u, written_at_.size());
-  written_at_[u] = -1;
-  auto row = store_.Row(static_cast<int64_t>(u));
-  std::fill(row.begin(), row.end(), 0.0f);
-}
-
 void HistoricalEmbeddingCache::Clear() {
   std::fill(written_at_.begin(), written_at_.end(), -1);
   store_.Zero();

@@ -49,12 +49,6 @@ class HistoricalEmbeddingCache {
   double HitRate(std::span<const graph::NodeId> nodes, int64_t current_step,
                  int64_t max_staleness) const;
 
-  /// Drops u's entry (e.g. after the node's features or neighbourhood
-  /// changed, or degraded-mode bookkeeping decided the stale row must not
-  /// be served again). `Has(u)` is false afterwards; the row data is
-  /// zeroed so a use-after-invalidate reads zeros, not ghosts.
-  void Invalidate(graph::NodeId u);
-
   /// Drops every entry.
   void Clear();
 

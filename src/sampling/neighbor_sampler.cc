@@ -1,6 +1,7 @@
 #include "sampling/neighbor_sampler.h"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -12,9 +13,8 @@ namespace sgnn::sampling {
 using graph::CsrGraph;
 using graph::NodeId;
 
-LayerSample AssembleLayer(
-    std::span<const NodeId> dst,
-    const std::vector<std::vector<std::pair<NodeId, float>>>& edges) {
+LayerSample AssembleLayer(std::span<const NodeId> dst,
+                          const LayerEdges& edges) {
   SGNN_CHECK_EQ(dst.size(), edges.size());
   LayerSample layer;
   layer.dst.assign(dst.begin(), dst.end());
@@ -38,75 +38,42 @@ LayerSample AssembleLayer(
   return layer;
 }
 
-namespace {
-
-/// Destinations per shard below which a layer's fan-out stays one shard.
-constexpr int64_t kDstGrain = 256;
-
-std::vector<par::Range> DstShards(size_t num_dst) {
-  const int64_t n = static_cast<int64_t>(num_dst);
-  return par::SplitUniform(n, par::ShardsFor(n, kDstGrain));
-}
-
-/// Runs `sample_one_layer` from the seeds inward and packages the blocks
-/// innermost-first.
-template <typename SampleLayerFn>
-MiniBatch BuildBatch(std::span<const NodeId> seeds, int num_layers,
-                     SampleLayerFn&& sample_one_layer) {
-  SGNN_CHECK_GE(num_layers, 1);
-  SGNN_CHECK(!seeds.empty());
-  std::vector<LayerSample> outer_first;
-  std::vector<NodeId> frontier(seeds.begin(), seeds.end());
-  for (int l = 0; l < num_layers; ++l) {
-    LayerSample layer = sample_one_layer(l, frontier);
-    frontier = layer.src;
-    outer_first.push_back(std::move(layer));
+void SampleDestination(std::span<const NodeId> nbrs, NodeId node, int fanout,
+                       uint64_t layer_base,
+                       std::vector<std::pair<NodeId, float>>* out) {
+  if (nbrs.empty()) return;
+  if (static_cast<int>(nbrs.size()) <= fanout) {
+    const float w = 1.0f / static_cast<float>(nbrs.size());
+    for (NodeId v : nbrs) out->emplace_back(v, w);
+    return;
   }
-  MiniBatch batch;
-  batch.layers.assign(std::make_move_iterator(outer_first.rbegin()),
-                      std::make_move_iterator(outer_first.rend()));
-  return batch;
+  common::Rng local(common::MixSeed(layer_base, node));
+  auto picks = local.SampleWithoutReplacement(nbrs.size(),
+                                              static_cast<uint64_t>(fanout));
+  const float w = 1.0f / static_cast<float>(fanout);
+  for (uint64_t p : picks) out->emplace_back(nbrs[p], w);
 }
-
-}  // namespace
 
 MiniBatch SampleNodeWise(const CsrGraph& graph,
                          std::span<const NodeId> seeds,
                          std::span<const int> fanouts, common::Rng* rng) {
-  SGNN_CHECK(rng != nullptr);
-  return BuildBatch(
-      seeds, static_cast<int>(fanouts.size()),
-      [&graph, &fanouts, rng](int l, const std::vector<NodeId>& dst) {
-        const int fanout = fanouts[static_cast<size_t>(l)];
-        SGNN_CHECK_GE(fanout, 1);
-        // One caller-side engine draw seeds the layer; each destination
-        // then owns the keyed stream (layer_base, node). Which worker runs
-        // a destination never affects its draws, so the batch is identical
-        // for any SGNN_THREADS.
-        const uint64_t layer_base = rng->engine()();
-        std::vector<std::vector<std::pair<NodeId, float>>> edges(dst.size());
-        par::ParallelFor(
-            "sample.node_wise", DstShards(dst.size()),
-            [&](int, par::Range range) {
-              for (int64_t i = range.begin; i < range.end; ++i) {
-                auto nbrs = graph.Neighbors(dst[static_cast<size_t>(i)]);
-                auto& out = edges[static_cast<size_t>(i)];
-                if (nbrs.empty()) continue;
-                if (static_cast<int>(nbrs.size()) <= fanout) {
-                  const float w = 1.0f / static_cast<float>(nbrs.size());
-                  for (NodeId v : nbrs) out.emplace_back(v, w);
-                } else {
-                  common::Rng local(common::MixSeed(
-                      layer_base, dst[static_cast<size_t>(i)]));
-                  auto picks = local.SampleWithoutReplacement(
-                      nbrs.size(), static_cast<uint64_t>(fanout));
-                  const float w = 1.0f / static_cast<float>(fanout);
-                  for (uint64_t p : picks) out.emplace_back(nbrs[p], w);
-                }
-              }
-            });
-        return AssembleLayer(dst, edges);
-      });
+  return SampleNodeWiseWith(
+             seeds, fanouts, rng,
+             [&graph](uint64_t layer_base, int fanout,
+                      const std::vector<NodeId>& dst, LayerEdges* edges) {
+               par::ParallelFor(
+                   "sample.node_wise", DstShards(dst.size()),
+                   [&](int, par::Range range) {
+                     for (int64_t i = range.begin; i < range.end; ++i) {
+                       const NodeId u = dst[static_cast<size_t>(i)];
+                       SampleDestination(graph.Neighbors(u), u, fanout,
+                                         layer_base,
+                                         &(*edges)[static_cast<size_t>(i)]);
+                     }
+                   });
+               return common::Status::OK();
+             })
+      .value();
 }
 
 MiniBatch SampleLabor(const CsrGraph& graph, std::span<const NodeId> seeds,
@@ -122,7 +89,7 @@ MiniBatch SampleLabor(const CsrGraph& graph, std::span<const NodeId> seeds,
         // hash of (layer_base, vertex) — no memo table, so destinations can
         // fan out in parallel and still agree on every shared vertex.
         const uint64_t layer_base = rng->engine()();
-        std::vector<std::vector<std::pair<NodeId, float>>> edges(dst.size());
+        LayerEdges edges(dst.size());
         par::ParallelFor(
             "sample.labor", DstShards(dst.size()), [&](int, par::Range range) {
               for (int64_t i = range.begin; i < range.end; ++i) {
@@ -141,7 +108,8 @@ MiniBatch SampleLabor(const CsrGraph& graph, std::span<const NodeId> seeds,
               }
             });
         return AssembleLayer(dst, edges);
-      });
+      })
+      .value();
 }
 
 MiniBatch SampleLayerWise(const CsrGraph& graph,
@@ -171,7 +139,7 @@ MiniBatch SampleLayerWise(const CsrGraph& graph,
           const auto it = std::lower_bound(cdf.begin(), cdf.end(), r);
           counts[static_cast<NodeId>(it - cdf.begin())]++;
         }
-        std::vector<std::vector<std::pair<NodeId, float>>> edges(dst.size());
+        LayerEdges edges(dst.size());
         // The m global draws above stay on the caller's stream; only the
         // per-destination edge assembly (which merely reads `counts`) fans
         // out across workers.
@@ -195,26 +163,29 @@ MiniBatch SampleLayerWise(const CsrGraph& graph,
               }
             });
         return AssembleLayer(dst, edges);
-      });
+      })
+      .value();
 }
 
 MiniBatch FullNeighborhood(const CsrGraph& graph,
                            std::span<const NodeId> seeds, int num_layers) {
+  // The whole neighbourhood is the node-wise draw with an unbounded fanout
+  // (no rng is consulted on that path).
   return BuildBatch(
       seeds, num_layers, [&graph](int, const std::vector<NodeId>& dst) {
-        std::vector<std::vector<std::pair<NodeId, float>>> edges(dst.size());
+        LayerEdges edges(dst.size());
         par::ParallelFor(
             "sample.full", DstShards(dst.size()), [&](int, par::Range range) {
               for (int64_t i = range.begin; i < range.end; ++i) {
-                auto nbrs = graph.Neighbors(dst[static_cast<size_t>(i)]);
-                auto& out = edges[static_cast<size_t>(i)];
-                if (nbrs.empty()) continue;
-                const float w = 1.0f / static_cast<float>(nbrs.size());
-                for (NodeId v : nbrs) out.emplace_back(v, w);
+                const NodeId u = dst[static_cast<size_t>(i)];
+                SampleDestination(graph.Neighbors(u), u,
+                                  std::numeric_limits<int>::max(), 0,
+                                  &edges[static_cast<size_t>(i)]);
               }
             });
         return AssembleLayer(dst, edges);
-      });
+      })
+      .value();
 }
 
 }  // namespace sgnn::sampling

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/check.h"
 #include "common/counters.h"
+#include "graph/spmm.h"
 #include "subgraph/khop.h"
 
 namespace sgnn::serve {
@@ -47,33 +49,29 @@ void KHopEmbedder::Embed(NodeId center, std::span<float> out) const {
   counters.floats_moved += static_cast<uint64_t>(k * cols);
   counters.Acquire(static_cast<uint64_t>(2 * k * cols));
 
-  // Local S^K over the ball with global-degree coefficients. Only the
-  // center row is read out, so boundary inexactness never surfaces (see
-  // header comment).
+  // Local S^K over the ball through the shared SpMM row body, with
+  // global-degree coefficients: w * d_u^-1/2 * d_v^-1/2 per edge (float,
+  // left to right) and d_u^-1/2 squared for the self loop. Only the center
+  // row is read out, so boundary inexactness never surfaces (see header).
+  const auto& sub = ego.subgraph;
+  std::vector<float> coeff(static_cast<size_t>(sub.num_edges()));
+  std::vector<float> self(static_cast<size_t>(k));
+  for (int64_t u = 0; u < k; ++u) {
+    const float inv_u = inv_sqrt_degree_[ego.nodes[u]];
+    self[u] = inv_u * inv_u;
+    for (int64_t e = sub.offsets()[u]; e < sub.offsets()[u + 1]; ++e) {
+      coeff[e] = sub.weights()[e] * inv_u *
+                 inv_sqrt_degree_[ego.nodes[sub.neighbors()[e]]];
+    }
+  }
   Matrix next(k, cols);
   for (int step = 0; step < hops_; ++step) {
     next.Zero();
-    for (int64_t u = 0; u < k; ++u) {
-      const float inv_u = inv_sqrt_degree_[ego.nodes[u]];
-      auto nbrs = ego.subgraph.Neighbors(static_cast<NodeId>(u));
-      auto ws = ego.subgraph.Weights(static_cast<NodeId>(u));
-      auto orow = next.Row(u);
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        const float c =
-            ws[i] * inv_u * inv_sqrt_degree_[ego.nodes[nbrs[i]]];
-        if (c == 0.0f) continue;
-        auto xrow = cur.Row(static_cast<int64_t>(nbrs[i]));
-        for (int64_t j = 0; j < cols; ++j) orow[j] += c * xrow[j];
-      }
-      const float self_c = inv_u * inv_u;
-      auto xrow = cur.Row(u);
-      for (int64_t j = 0; j < cols; ++j) orow[j] += self_c * xrow[j];
-    }
+    const graph::CsrSpmmView<graph::EdgeIndex> view{
+        sub.offsets().data(), sub.neighbors().data(), coeff.data(),
+        self.data(), cur.data(), next.data(), cols};
+    graph::SpmmRows(view, 0, k, cols);
     std::swap(cur, next);
-    counters.edges_touched += static_cast<uint64_t>(ego.subgraph.num_edges());
-    counters.floats_moved +=
-        static_cast<uint64_t>(ego.subgraph.num_edges()) *
-        static_cast<uint64_t>(cols);
   }
 
   auto center_row = cur.Row(0);  // ego.nodes[0] == center by construction.

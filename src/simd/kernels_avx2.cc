@@ -1,8 +1,8 @@
 // The AVX2 (FMA) backend. This is the only translation unit in the tree
 // allowed to touch <immintrin.h> (lint rule det/simd-intrinsics); it is
-// compiled with -mavx2 -mfma -ffp-contract=off and reached only through
-// the runtime dispatch in simd.cc, so a host without AVX2 never executes a
-// vector instruction.
+// compiled with -mavx2 -mfma (plus the project-wide -ffp-contract=off) and
+// reached only through the runtime dispatch in simd.cc, so a host without
+// AVX2 never executes a vector instruction.
 //
 // Bit-identity with the scalar backend (the contract in simd.h) rests on
 // three facts encoded below:

@@ -1,9 +1,9 @@
 // The portable backend. Every loop replicates the AVX2 path's arithmetic
 // structure — same lane partition, same fold order, exactly rounded
 // single-precision mul/add (never fused) — so the two backends are byte
-// identical (the contract in simd.h). The CMake rule compiles this TU with
-// -ffp-contract=off so no compiler, at any -march, can fuse a mul/add pair
-// behind our back.
+// identical (the contract in simd.h). The project-wide -ffp-contract=off
+// (root CMakeLists.txt) keeps any compiler, at any -march, from fusing a
+// mul/add pair behind our back.
 
 #include "simd/kernels.h"
 

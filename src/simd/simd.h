@@ -6,8 +6,8 @@
 namespace sgnn::simd {
 
 /// `sgnn::simd` — the vectorized microkernel substrate under the hot
-/// kernels (`tensor::Gemm` and friends, the `Propagator`/`OocPropagator`
-/// SpMM inner loops, the row/elementwise ops). Two backends implement one
+/// kernels (`tensor::Gemm` and friends, the shared SpMM row body
+/// `graph::SpmmRows`, the row/elementwise ops). Two backends implement one
 /// kernel table:
 ///
 ///   * `avx2`   — 8-lane single-precision AVX2 (FMA only where fusion is
@@ -24,7 +24,10 @@ namespace sgnn::simd {
 ///     rounded single-precision mul/add — never fused — so a vector lane
 ///     computes the identical operation the scalar loop does. The two
 ///     backends differ only in how many elements advance per iteration,
-///     which is unobservable.
+///     which is unobservable. The whole project is compiled with
+///     `-ffp-contract=off` (root CMakeLists.txt), so no compiler flag —
+///     `-march=x86-64-v3` included — can fuse a mul/add pair behind the
+///     contract's back, here or in float loops outside the table.
 ///  2. Reductions fix the lane-fold order: `Dot` partitions index i into
 ///     lane i mod 4, accumulates each lane in ascending order in double,
 ///     and folds `(l0 + l1) + (l2 + l3)` before adding the scalar tail in

@@ -8,6 +8,31 @@
 
 namespace sgnn::similarity {
 
+namespace {
+
+/// Shortest distance certified by two hub-sorted label lists (the minimum
+/// dist sum over shared hubs), or -1 when they share no hub.
+template <typename Labels>
+int MergeQuery(const Labels& lu, const Labels& lv) {
+  int best = -1;
+  size_t i = 0, j = 0;
+  while (i < lu.size() && j < lv.size()) {
+    if (lu[i].hub == lv[j].hub) {
+      const int d = lu[i].dist + lv[j].dist;
+      if (best == -1 || d < best) best = d;
+      ++i;
+      ++j;
+    } else if (lu[i].hub < lv[j].hub) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return best;
+}
+
+}  // namespace
+
 using graph::CsrGraph;
 using graph::NodeId;
 
@@ -21,27 +46,6 @@ HubLabeling::HubLabeling(const CsrGraph& graph) {
               const auto da = graph.OutDegree(a), db = graph.OutDegree(b);
               return da != db ? da > db : a < b;
             });
-
-  // Query using only labels built so far (hubs of rank < current).
-  auto partial_query = [this](NodeId u, NodeId v) {
-    const auto& lu = labels_[u];
-    const auto& lv = labels_[v];
-    int best = -1;
-    size_t i = 0, j = 0;
-    while (i < lu.size() && j < lv.size()) {
-      if (lu[i].hub == lv[j].hub) {
-        const int d = lu[i].dist + lv[j].dist;
-        if (best == -1 || d < best) best = d;
-        ++i;
-        ++j;
-      } else if (lu[i].hub < lv[j].hub) {
-        ++i;
-      } else {
-        ++j;
-      }
-    }
-    return best;
-  };
 
   std::vector<int> dist(n, -1);
   std::vector<NodeId> touched;
@@ -59,7 +63,8 @@ HubLabeling::HubLabeling(const CsrGraph& graph) {
       const int du = dist[u];
       // Prune: if existing labels already certify a path of length <= du,
       // u (and its subtree via this landmark) gains nothing.
-      const int certified = partial_query(landmark, u);
+      // Only labels built so far (hubs of rank < current) exist yet.
+      const int certified = MergeQuery(labels_[landmark], labels_[u]);
       if (certified != -1 && certified <= du) continue;
       labels_[u].push_back(Entry{rank, du});
       for (NodeId v : graph.Neighbors(u)) {
@@ -78,23 +83,7 @@ int HubLabeling::Query(NodeId u, NodeId v) const {
   SGNN_CHECK_LT(u, labels_.size());
   SGNN_CHECK_LT(v, labels_.size());
   if (u == v) return 0;
-  const auto& lu = labels_[u];
-  const auto& lv = labels_[v];
-  int best = -1;
-  size_t i = 0, j = 0;
-  while (i < lu.size() && j < lv.size()) {
-    if (lu[i].hub == lv[j].hub) {
-      const int d = lu[i].dist + lv[j].dist;
-      if (best == -1 || d < best) best = d;
-      ++i;
-      ++j;
-    } else if (lu[i].hub < lv[j].hub) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return best;
+  return MergeQuery(labels_[u], labels_[v]);
 }
 
 int64_t HubLabeling::TotalLabelEntries() const {

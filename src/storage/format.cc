@@ -4,54 +4,19 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <type_traits>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 
 namespace sgnn::storage {
 
+using common::ByteCursor;
+using common::PutBytes;
+using common::PutPod;
 using common::Status;
 using common::StatusOr;
 
 namespace {
-
-// ---- little serialisation helpers over a growable byte buffer ----------
-// (same idiom as core/checkpoint.cc: append PODs, read back through a
-// bounds-checked cursor so truncation is a framing error, never UB).
-
-void PutBytes(std::string* buf, const void* data, size_t n) {
-  buf->append(static_cast<const char*>(data), n);
-}
-
-template <typename T>
-void PutPod(std::string* buf, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PutBytes(buf, &v, sizeof(v));
-}
-
-struct Cursor {
-  const char* p;
-  size_t left;
-  bool ok = true;
-
-  bool Take(void* out, size_t n) {
-    if (!ok || n > left) {
-      ok = false;
-      return false;
-    }
-    std::memcpy(out, p, n);
-    p += n;
-    left -= n;
-    return true;
-  }
-
-  template <typename T>
-  T Pod() {
-    T v{};
-    Take(&v, sizeof(v));
-    return v;
-  }
-};
 
 constexpr uint64_t PadTo8(uint64_t n) { return (n + 7) & ~uint64_t{7}; }
 
@@ -173,7 +138,7 @@ StatusOr<ShardManifest> ReadManifest(const std::string& path) {
     return Corrupt(path, "manifest CRC mismatch");
   }
 
-  Cursor cur{bytes.data() + sizeof(kManifestMagic),
+  ByteCursor cur{bytes.data() + sizeof(kManifestMagic),
              payload - sizeof(kManifestMagic)};
   ShardManifest manifest;
   manifest.version = cur.Pod<uint32_t>();
@@ -223,7 +188,7 @@ StatusOr<ShardHeader> ParseShardHeader(const void* bytes, uint64_t file_bytes,
   if (std::memcmp(p, kShardMagic, sizeof(kShardMagic)) != 0) {
     return Corrupt(where, "bad magic (not a shard file)");
   }
-  Cursor cur{p + sizeof(kShardMagic),
+  ByteCursor cur{p + sizeof(kShardMagic),
              kShardHeaderBytes - sizeof(kShardMagic)};
   const uint32_t version = cur.Pod<uint32_t>();
   ShardHeader header;

@@ -1,14 +1,12 @@
 #include "storage/ooc.h"
 
-#include <cmath>
-#include <queue>
 #include <utility>
 
 #include "common/check.h"
-#include "common/counters.h"
+#include "graph/spmm.h"
 #include "par/par.h"
+#include "ppr/push.h"
 #include "sampling/assembly.h"
-#include "simd/simd.h"
 
 namespace sgnn::storage {
 
@@ -19,13 +17,59 @@ using graph::Normalization;
 
 namespace {
 
-/// Same shard grains as the in-memory kernels, so intra-shard parallel
-/// geometry matches them row for row.
-constexpr int64_t kEdgeGrain = 32 * 1024;
-constexpr int64_t kDstGrain = 256;
+/// `graph::SpmmRows` view over one pinned shard: rows are shard rows,
+/// output and x rows are indexed by global id, and the per-edge float
+/// coefficient is recomputed from the resident degree table with the
+/// in-memory constructor's formula (`graph::EdgeCoefficient`).
+struct ShardSpmmView {
+  const int64_t* offsets;
+  const NodeId* rows;
+  const NodeId* neighbors;
+  const float* weights;
+  const double* degree;
+  Normalization norm;
+  const float* self_loop;  ///< Per global node; null = no self loops.
+  const float* x;
+  float* out;
+  int64_t cols;
 
-double Inv(double d) { return d > 0.0 ? 1.0 / d : 0.0; }
-double InvSqrt(double d) { return d > 0.0 ? 1.0 / std::sqrt(d) : 0.0; }
+  int64_t EdgeBegin(int64_t r) const { return offsets[r]; }
+  float* OutRow(int64_t r) const {
+    return out + static_cast<int64_t>(rows[r]) * cols;
+  }
+  float Coefficient(int64_t r, int64_t e) const {
+    // sgnn-lint: allow(billing/unbilled-kernel-loop): an accessor, not a
+    // loop; graph::SpmmRows walks the edges and bills them.
+    const double deg_v = degree[neighbors[e]];
+    return graph::EdgeCoefficient(norm, weights[e], degree[rows[r]], deg_v);
+  }
+  const float* NeighborRow(int64_t e) const {
+    return x + static_cast<int64_t>(neighbors[e]) * cols;
+  }
+  float SelfCoefficient(int64_t r) const {
+    return self_loop == nullptr ? 0.0f : self_loop[rows[r]];
+  }
+  const float* SelfRow(int64_t r) const {
+    return x + static_cast<int64_t>(rows[r]) * cols;
+  }
+};
+
+/// `ppr::ForwardPushOver` accessor: degrees from the resident index, and
+/// each row fetch pins the owning shard for the duration of one push.
+struct ShardAdjacency {
+  ShardedGraph* graph;
+
+  NodeId num_nodes() const { return graph->num_nodes(); }
+  graph::EdgeIndex OutDegree(NodeId u) const { return graph->OutDegree(u); }
+  template <typename Fn>
+  Status VisitRow(NodeId u, Fn&& fn) const {
+    auto pin_or = graph->Pin(u);
+    if (!pin_or.ok()) return pin_or.status();
+    const PinnedShard& pin = pin_or.value();
+    fn(pin.Neighbors(u), pin.Weights(u), pin.WeightedDegree(u));
+    return Status::OK();
+  }
+};
 
 }  // namespace
 
@@ -45,11 +89,9 @@ StatusOr<OocPropagator> OocPropagator::Create(ShardedGraph* graph,
     auto pin_or = graph->PinShard(s);
     if (!pin_or.ok()) return pin_or.status();
     const PinnedShard& pin = pin_or.value();
-    const auto ranges = par::RowRanges(
-        pin.local_offsets(),
-        par::ShardsFor(pin.local_offsets().back(), kEdgeGrain));
     par::ParallelFor(
-        "storage.prop.degrees", ranges, [&](int, par::Range range) {
+        "storage.prop.degrees", graph::EdgeShards(pin.local_offsets()),
+        [&](int, par::Range range) {
           for (int64_t r = range.begin; r < range.end; ++r) {
             // Float weights accumulate into a double in adjacency order —
             // the exact `CsrGraph::WeightedDegree` arithmetic.
@@ -63,19 +105,7 @@ StatusOr<OocPropagator> OocPropagator::Create(ShardedGraph* graph,
   if (add_self_loops) {
     prop.self_loop_coeff_.resize(n);
     for (NodeId u = 0; u < n; ++u) {
-      double c = 1.0;
-      switch (norm) {
-        case Normalization::kNone:
-          break;
-        case Normalization::kRow:
-        case Normalization::kColumn:
-          c = Inv(prop.degree_[u]);
-          break;
-        case Normalization::kSymmetric:
-          c = Inv(prop.degree_[u]);  // 1/sqrt(d) * 1/sqrt(d)
-          break;
-      }
-      prop.self_loop_coeff_[u] = static_cast<float>(c);
+      prop.self_loop_coeff_[u] = graph::LoopCoefficient(norm, prop.degree_[u]);
     }
   }
   return prop;
@@ -92,70 +122,22 @@ Status OocPropagator::Apply(const tensor::Matrix& x,
     auto pin_or = graph_->PinShard(s);
     if (!pin_or.ok()) return pin_or.status();
     const PinnedShard& pin = pin_or.value();
-    const int64_t shard_edges = pin.local_offsets().back();
-    const auto ranges = par::RowRanges(
-        pin.local_offsets(), par::ShardsFor(shard_edges, kEdgeGrain));
-    // Row-partitioned SpMM exactly like `Propagator::Apply`, with the
-    // per-edge float coefficient recomputed on the fly: double expression,
-    // then one float cast — the same rounding the in-memory constructor
-    // stored, so every axpy adds the identical float. The accumulation row
-    // is the same unfused-mul/add microkernel, so the out-of-core result
-    // stays byte-identical to the in-memory one at any resident budget.
-    const simd::KernelTable& kt = simd::Active();
-    // Applied axpy rows per par shard (nonzero coefficients + engaged
-    // self-loops), summed after the section for the byte bill.
-    std::vector<uint64_t> applied(ranges.size(), 0);
-    par::ParallelFor(
-        "storage.prop.apply", ranges, [&](int shard, par::Range range) {
-          uint64_t rows_applied = 0;
-          for (int64_t r = range.begin; r < range.end; ++r) {
-            const NodeId u = pin.rows()[static_cast<size_t>(r)];
-            auto nbrs = pin.NeighborsLocal(r);
-            auto ws = pin.WeightsLocal(r);
-            float* orow = out->data() + static_cast<int64_t>(u) * cols;
-            for (size_t i = 0; i < nbrs.size(); ++i) {
-              const NodeId v = nbrs[i];
-              double c = ws[i];
-              switch (norm_) {
-                case Normalization::kNone:
-                  break;
-                case Normalization::kRow:
-                  c *= Inv(degree_[u]);
-                  break;
-                case Normalization::kColumn:
-                  c *= Inv(degree_[v]);
-                  break;
-                case Normalization::kSymmetric:
-                  c *= InvSqrt(degree_[u]) * InvSqrt(degree_[v]);
-                  break;
-              }
-              const float cf = static_cast<float>(c);
-              if (cf == 0.0f) continue;
-              ++rows_applied;
-              kt.axpy(cf, x.data() + static_cast<int64_t>(v) * cols, orow,
-                      cols);
-            }
-            if (!self_loop_coeff_.empty() && self_loop_coeff_[u] != 0.0f) {
-              ++rows_applied;
-              kt.axpy(self_loop_coeff_[u],
-                      x.data() + static_cast<int64_t>(u) * cols, orow, cols);
-            }
-          }
-          applied[static_cast<size_t>(shard)] = rows_applied;
-        });
-    uint64_t shard_applied = 0;
-    for (uint64_t a : applied) shard_applied += a;
-    auto& counters = common::GlobalCounters();
-    counters.edges_touched += static_cast<uint64_t>(shard_edges);
-    counters.floats_moved +=
-        static_cast<uint64_t>(shard_edges) * static_cast<uint64_t>(cols);
-    // Bytes: weight + local-index streams per edge, then the gathered x
-    // slice plus the output row (RMW) per applied axpy — the same formula
-    // `Propagator::Apply` bills, so in-memory and out-of-core runs agree.
-    counters.BillBytes(
-        static_cast<uint64_t>(shard_edges) * (sizeof(float) + sizeof(NodeId)) +
-            shard_applied * 2u * static_cast<uint64_t>(cols) * sizeof(float),
-        shard_applied * static_cast<uint64_t>(cols) * sizeof(float));
+    const ShardSpmmView view{
+        pin.local_offsets().data(),
+        pin.rows().data(),
+        pin.neighbors().data(),
+        pin.weights().data(),
+        degree_.data(),
+        norm_,
+        self_loop_coeff_.empty() ? nullptr : self_loop_coeff_.data(),
+        x.data(),
+        out->data(),
+        cols};
+    par::ParallelFor("storage.prop.apply",
+                     graph::EdgeShards(pin.local_offsets()),
+                     [&](int, par::Range range) {
+                       graph::SpmmRows(view, range.begin, range.end, cols);
+                     });
   }
   return Status::OK();
 }
@@ -163,63 +145,7 @@ Status OocPropagator::Apply(const tensor::Matrix& x,
 StatusOr<ppr::PushResult> ForwardPush(ShardedGraph* graph, NodeId source,
                                       double alpha, double r_max) {
   SGNN_CHECK(graph != nullptr);
-  SGNN_CHECK(alpha > 0.0 && alpha < 1.0);
-  SGNN_CHECK_GT(r_max, 0.0);
-  SGNN_CHECK_LT(source, graph->num_nodes());
-
-  std::vector<double> p(graph->num_nodes(), 0.0);
-  std::vector<double> r(graph->num_nodes(), 0.0);
-  std::vector<bool> queued(graph->num_nodes(), false);
-  std::queue<NodeId> active;
-
-  r[source] = 1.0;
-  active.push(source);
-  queued[source] = true;
-
-  ppr::PushResult result;
-  while (!active.empty()) {
-    const NodeId u = active.front();
-    active.pop();
-    queued[u] = false;
-    const auto deg = graph->OutDegree(u);
-    if (deg == 0) {
-      // Dangling node: all residual mass settles here.
-      p[u] += r[u];
-      r[u] = 0.0;
-      continue;
-    }
-    if (r[u] <= r_max * static_cast<double>(deg)) continue;
-    const double ru = r[u];
-    p[u] += alpha * ru;
-    r[u] = 0.0;
-    ++result.pushes;
-    result.edges_touched += deg;
-    // The shard is pinned only for actual pushes — threshold checks read
-    // the resident degree index — so faults track pushes, not queue churn.
-    auto pin_or = graph->Pin(u);
-    if (!pin_or.ok()) return pin_or.status();
-    const PinnedShard& pin = pin_or.value();
-    const double w_deg = pin.WeightedDegree(u);
-    const double spread = (1.0 - alpha) * ru / w_deg;
-    auto nbrs = pin.Neighbors(u);
-    auto ws = pin.Weights(u);
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      const NodeId v = nbrs[i];
-      r[v] += spread * ws[i];
-      if (!queued[v] &&
-          r[v] > r_max * static_cast<double>(graph->OutDegree(v))) {
-        active.push(v);
-        queued[v] = true;
-      }
-    }
-  }
-
-  for (NodeId v = 0; v < graph->num_nodes(); ++v) {
-    if (p[v] > 0.0) result.estimate.emplace_back(v, p[v]);
-  }
-  common::GlobalCounters().edges_touched +=
-      static_cast<uint64_t>(result.edges_touched);
-  return result;
+  return ppr::ForwardPushOver(ShardAdjacency{graph}, source, alpha, r_max);
 }
 
 StatusOr<std::vector<ppr::PushResult>> PushBatch(
@@ -243,63 +169,37 @@ StatusOr<sampling::MiniBatch> SampleNodeWise(ShardedGraph* graph,
                                              std::span<const int> fanouts,
                                              common::Rng* rng) {
   SGNN_CHECK(graph != nullptr);
-  SGNN_CHECK(rng != nullptr);
-  SGNN_CHECK_GE(fanouts.size(), 1u);
-  SGNN_CHECK(!seeds.empty());
-
-  std::vector<sampling::LayerSample> outer_first;
-  std::vector<NodeId> frontier(seeds.begin(), seeds.end());
-  for (size_t l = 0; l < fanouts.size(); ++l) {
-    const int fanout = fanouts[l];
-    SGNN_CHECK_GE(fanout, 1);
-    const std::vector<NodeId>& dst = frontier;
-    // One caller-side engine draw per layer, then keyed per-destination
-    // streams — the in-memory sampler's scheme, so the draws (and the
-    // assembled block) do not depend on the shard grouping below.
-    const uint64_t layer_base = rng->engine()();
-    std::vector<std::vector<std::pair<NodeId, float>>> edges(dst.size());
-    std::vector<std::vector<int64_t>> by_shard(
-        static_cast<size_t>(graph->num_shards()));
-    for (size_t i = 0; i < dst.size(); ++i) {
-      by_shard[static_cast<size_t>(graph->shard_of(dst[i]))].push_back(
-          static_cast<int64_t>(i));
-    }
-    for (int s = 0; s < graph->num_shards(); ++s) {
-      const std::vector<int64_t>& bucket = by_shard[static_cast<size_t>(s)];
-      if (bucket.empty()) continue;
-      auto pin_or = graph->PinShard(s);
-      if (!pin_or.ok()) return pin_or.status();
-      const PinnedShard& pin = pin_or.value();
-      const int64_t m = static_cast<int64_t>(bucket.size());
-      const auto ranges = par::SplitUniform(m, par::ShardsFor(m, kDstGrain));
-      par::ParallelFor(
-          "storage.sample.node_wise", ranges, [&](int, par::Range range) {
-            for (int64_t b = range.begin; b < range.end; ++b) {
-              const size_t i = static_cast<size_t>(bucket[b]);
-              auto nbrs = pin.Neighbors(dst[i]);
-              auto& out = edges[i];
-              if (nbrs.empty()) continue;
-              if (static_cast<int>(nbrs.size()) <= fanout) {
-                const float w = 1.0f / static_cast<float>(nbrs.size());
-                for (NodeId v : nbrs) out.emplace_back(v, w);
-              } else {
-                common::Rng local(common::MixSeed(layer_base, dst[i]));
-                auto picks = local.SampleWithoutReplacement(
-                    nbrs.size(), static_cast<uint64_t>(fanout));
-                const float w = 1.0f / static_cast<float>(fanout);
-                for (uint64_t pick : picks) out.emplace_back(nbrs[pick], w);
-              }
-            }
-          });
-    }
-    sampling::LayerSample layer = sampling::AssembleLayer(dst, edges);
-    frontier = layer.src;
-    outer_first.push_back(std::move(layer));
-  }
-  sampling::MiniBatch batch;
-  batch.layers.assign(std::make_move_iterator(outer_first.rbegin()),
-                      std::make_move_iterator(outer_first.rend()));
-  return batch;
+  return sampling::SampleNodeWiseWith(
+      seeds, fanouts, rng,
+      [graph](uint64_t layer_base, int fanout, const std::vector<NodeId>& dst,
+              sampling::LayerEdges* edges) -> Status {
+        // Group destinations by shard and visit shards in ascending order,
+        // so each shard is pinned once per layer.
+        std::vector<std::vector<int64_t>> by_shard(
+            static_cast<size_t>(graph->num_shards()));
+        for (size_t i = 0; i < dst.size(); ++i) {
+          by_shard[static_cast<size_t>(graph->shard_of(dst[i]))].push_back(
+              static_cast<int64_t>(i));
+        }
+        for (int s = 0; s < graph->num_shards(); ++s) {
+          const std::vector<int64_t>& bucket = by_shard[static_cast<size_t>(s)];
+          if (bucket.empty()) continue;
+          auto pin_or = graph->PinShard(s);
+          if (!pin_or.ok()) return pin_or.status();
+          const PinnedShard& pin = pin_or.value();
+          par::ParallelFor(
+              "storage.sample.node_wise", sampling::DstShards(bucket.size()),
+              [&](int, par::Range range) {
+                for (int64_t b = range.begin; b < range.end; ++b) {
+                  const size_t i = static_cast<size_t>(bucket[b]);
+                  sampling::SampleDestination(pin.Neighbors(dst[i]), dst[i],
+                                              fanout, layer_base,
+                                              &(*edges)[i]);
+                }
+              });
+        }
+        return Status::OK();
+      });
 }
 
 }  // namespace sgnn::storage

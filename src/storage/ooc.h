@@ -16,23 +16,20 @@ namespace sgnn::storage {
 
 /// Out-of-core counterparts of the in-memory kernels, streaming shards
 /// through the `ShardedGraph` cache instead of holding the adjacency
-/// resident.
-///
-/// Bit-identity contract: each kernel reproduces its in-memory
-/// counterpart's arithmetic exactly — same per-row accumulation order,
-/// same double->float coefficient rounding, same keyed RNG draws — and a
-/// shard holds whole rows, so for any shard plan, any budget, and any
-/// `SGNN_THREADS` the outputs are byte-identical to the in-memory kernel
-/// on the same graph. Only the shard-fault/eviction counters change with
-/// the budget. Kernels orchestrate cache access from the calling thread
-/// (parallelism fans out *inside* a pinned shard), which also makes the
-/// load/eviction sequence deterministic.
+/// resident. Each runs the in-memory kernel's own body — `graph::SpmmRows`,
+/// `ppr::ForwardPushOver`, `sampling::SampleNodeWiseWith` — over a shard
+/// accessor, so the outputs are byte-identical to the in-memory kernel for
+/// any shard plan, budget and `SGNN_THREADS` (the argument is written once,
+/// in graph/spmm.h); only the shard-fault/eviction counters change with
+/// the budget. What is left here is orchestration: shards are pinned from
+/// the calling thread in ascending order and parallelism fans out only
+/// *inside* a pinned shard, which makes the load/eviction sequence
+/// deterministic too.
 
 /// Out-of-core `graph::Propagator`: the O(num_edges) coefficient array is
-/// never materialised — coefficients are recomputed per edge from a
-/// resident O(num_nodes) degree table using the exact double-precision
-/// expressions the in-memory constructor evaluates, so the rounded float
-/// applied per edge is bit-identical.
+/// never materialised — each edge's coefficient is recomputed from a
+/// resident O(num_nodes) degree table by `graph::EdgeCoefficient`, the
+/// function the in-memory constructor uses.
 class OocPropagator {
  public:
   /// Builds the resident degree/self-loop tables with one streaming pass
@@ -61,9 +58,9 @@ class OocPropagator {
   std::vector<float> self_loop_coeff_;  // Per node; empty if no self loops.
 };
 
-/// Out-of-core `ppr::ForwardPush`: identical queue traversal (and thus
-/// identical result and push/edge counts); neighbour reads pin the owning
-/// shard per push, degrees come from the resident index.
+/// Out-of-core `ppr::ForwardPush`: the same `ppr::ForwardPushOver` loop;
+/// each push pins the owning shard, threshold checks read the resident
+/// degree index.
 SGNN_NODISCARD common::StatusOr<ppr::PushResult> ForwardPush(ShardedGraph* graph,
                                               graph::NodeId source,
                                               double alpha, double r_max);
@@ -76,11 +73,10 @@ SGNN_NODISCARD common::StatusOr<std::vector<ppr::PushResult>> PushBatch(
     ShardedGraph* graph, std::span<const graph::NodeId> seeds, double alpha,
     double r_max);
 
-/// Out-of-core `sampling::SampleNodeWise`: same per-layer engine draw and
-/// per-destination keyed streams, so the batch is byte-identical to the
-/// in-memory sampler with an equal-state `rng`. Destinations are grouped
-/// by shard and shards visited in ascending order; the keyed draws make
-/// the grouping invisible in the output.
+/// Out-of-core `sampling::SampleNodeWise`: the same layer loop and
+/// per-destination draw, so the batch is byte-identical to the in-memory
+/// sampler with an equal-state `rng`. Destinations are grouped by shard
+/// and shards visited in ascending order.
 SGNN_NODISCARD common::StatusOr<sampling::MiniBatch> SampleNodeWise(
     ShardedGraph* graph, std::span<const graph::NodeId> seeds,
     std::span<const int> fanouts, common::Rng* rng);

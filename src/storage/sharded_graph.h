@@ -106,6 +106,15 @@ class PinnedShard {
             static_cast<size_t>(num_rows_) + 1};
   }
 
+  /// The whole shard's neighbour and weight sections, aligned with
+  /// `local_offsets()`.
+  std::span<const graph::NodeId> neighbors() const {
+    return {neighbors_, static_cast<size_t>(offsets_[num_rows_])};
+  }
+  std::span<const float> weights() const {
+    return {weights_, static_cast<size_t>(offsets_[num_rows_])};
+  }
+
   std::span<const graph::NodeId> NeighborsLocal(int64_t row) const {
     SGNN_DCHECK(row >= 0 && row < num_rows_);
     return {neighbors_ + offsets_[row],

@@ -95,6 +95,34 @@ TEST(WorkerSpecTest, EveryTruncationIsDataLossNeverUB) {
   }
 }
 
+// A spec the worker could not run is rejected at parse time, not by an
+// abort in the worker's first epoch.
+TEST(WorkerSpecTest, UnresolvableSpecIsDataLoss) {
+  WorkerSpec spec;
+  spec.worker_id = 0;
+  spec.num_workers = 2;
+  spec.cols = 3;
+  spec.owned = {0, 1};
+  spec.halo = {5};
+  spec.offsets = {0, 1, 2};
+  spec.neighbors = {5, 0};
+  spec.coefficients = {0.5f, 0.5f};
+  spec.self_loop = {1.0f, 1.0f};
+  ASSERT_TRUE(WorkerSpec::Parse(spec.Serialize()).ok());
+
+  WorkerSpec stray = spec;
+  stray.neighbors = {5, 7};  // 7 is neither owned nor haloed.
+  auto stray_or = WorkerSpec::Parse(stray.Serialize());
+  ASSERT_FALSE(stray_or.ok());
+  EXPECT_EQ(stray_or.status().code(), StatusCode::kDataLoss);
+
+  WorkerSpec backwards = spec;
+  backwards.offsets = {0, 3, 2};  // Row 0 would read past the edge arrays.
+  auto backwards_or = WorkerSpec::Parse(backwards.Serialize());
+  ASSERT_FALSE(backwards_or.ok());
+  EXPECT_EQ(backwards_or.status().code(), StatusCode::kDataLoss);
+}
+
 TEST(HaloPlanTest, MatchesSimulatedCommunicationVolume) {
   const CsrGraph g = TestGraph();
   const Partition parts = partition::LdgPartition(g, 4, 1.05, 31);

@@ -372,23 +372,6 @@ TEST(HistoricalCacheTest, StalenessBoundIsInclusive) {
   EXPECT_DOUBLE_EQ(cache.HitRate(nodes, 4, 0), 0.0);
 }
 
-TEST(HistoricalCacheTest, InvalidateDropsOneEntryAndZeroesRow) {
-  HistoricalEmbeddingCache cache(4, 2);
-  std::vector<float> a = {1, 2}, b = {3, 4};
-  cache.Put(0, a, 1);
-  cache.Put(1, b, 1);
-  cache.Invalidate(0);
-  EXPECT_FALSE(cache.Has(0));
-  EXPECT_EQ(cache.Staleness(0, 5), -1);
-  ASSERT_TRUE(cache.Has(1));  // Neighbours untouched.
-  EXPECT_FLOAT_EQ(cache.Get(1)[0], 3.0f);
-  // Re-inserting after invalidation behaves like a fresh write.
-  cache.Put(0, b, 9);
-  ASSERT_TRUE(cache.Has(0));
-  EXPECT_EQ(cache.Staleness(0, 9), 0);
-  EXPECT_FLOAT_EQ(cache.Get(0)[1], 4.0f);
-}
-
 TEST(HistoricalCacheTest, StalenessOfAbsentNodesIsNegative) {
   HistoricalEmbeddingCache cache(4, 2);
   for (NodeId u = 0; u < 4; ++u) {

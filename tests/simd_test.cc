@@ -15,11 +15,14 @@
 
 #include "common/counters.h"
 #include "common/rng.h"
+#include "core/run_context.h"
+#include "dist/coordinator.h"
 #include "graph/coo.h"
 #include "graph/csr_graph.h"
 #include "graph/generators.h"
 #include "graph/propagate.h"
 #include "par/par.h"
+#include "partition/partition.h"
 #include "simd/simd.h"
 #include "storage/ooc.h"
 #include "storage/shard_writer.h"
@@ -303,38 +306,54 @@ TEST_F(SimdTest, PropagatorHandlesIsolatedNodes) {
   }
 }
 
-// The out-of-core SpMM must match the in-memory propagator byte for byte
-// on both backends, including under a budget that forces eviction.
+// The out-of-core and distributed SpMM must match the in-memory
+// propagator byte for byte on both backends, including under a budget that
+// forces eviction, on the unblocked path (24 cols) and the cache-blocked
+// panel schedule all three tiers share (160 cols).
 TEST_F(SimdTest, OocPropagatorBitIdenticalToInMemory) {
   const CsrGraph g = graph::ErdosRenyi(300, 2400, 77);
-  const Matrix x = RandomMatrix(g.num_nodes(), 24, 78);
-  Matrix want;
-  {
-    simd::SetEnabled(false);
-    graph::Propagator prop(g, Normalization::kSymmetric,
-                           /*add_self_loops=*/true);
-    prop.Apply(x, &want);
-  }
   const std::string dir = ::testing::TempDir() + "/sgnn_simd_ooc";
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(storage::WriteShardedGraph(
                   g, storage::ShardPlan::Contiguous(g, 5), dir)
                   .ok());
-  for (const bool simd_on : {false, true}) {
-    for (const int threads : {1, 8}) {
-      SCOPED_TRACE(std::string("simd=") + (simd_on ? "on" : "off") +
-                   " threads=" + std::to_string(threads));
+  const partition::Partition parts = partition::LdgPartition(g, 2, 1.05, 31);
+  for (const int64_t cols : {24L, 160L}) {
+    const Matrix x = RandomMatrix(g.num_nodes(), cols, 78);
+    Matrix want;
+    {
+      simd::SetEnabled(false);
+      graph::Propagator prop(g, Normalization::kSymmetric,
+                             /*add_self_loops=*/true);
+      prop.Apply(x, &want);
+    }
+    for (const bool simd_on : {false, true}) {
       simd::SetEnabled(simd_on);
-      par::SetThreads(threads);
-      auto open_or = storage::ShardedGraph::Open(dir);
-      ASSERT_TRUE(open_or.ok()) << open_or.status().message();
-      auto prop_or = storage::OocPropagator::Create(
-          open_or.value().get(), Normalization::kSymmetric,
-          /*add_self_loops=*/true);
-      ASSERT_TRUE(prop_or.ok()) << prop_or.status().message();
-      Matrix out;
-      ASSERT_TRUE(prop_or.value().Apply(x, &out).ok());
-      EXPECT_TRUE(BytesEqual(want, out));
+      for (const int threads : {1, 8}) {
+        SCOPED_TRACE("cols=" + std::to_string(cols) + " simd=" +
+                     (simd_on ? "on" : "off") +
+                     " threads=" + std::to_string(threads));
+        par::SetThreads(threads);
+        auto open_or = storage::ShardedGraph::Open(dir);
+        ASSERT_TRUE(open_or.ok()) << open_or.status().message();
+        auto prop_or = storage::OocPropagator::Create(
+            open_or.value().get(), Normalization::kSymmetric,
+            /*add_self_loops=*/true);
+        ASSERT_TRUE(prop_or.ok()) << prop_or.status().message();
+        Matrix out;
+        ASSERT_TRUE(prop_or.value().Apply(x, &out).ok());
+        EXPECT_TRUE(BytesEqual(want, out));
+      }
+      // Forked workers inherit the parent's backend and compute without
+      // the par pool, so one run per backend covers the dist tier.
+      SCOPED_TRACE("dist cols=" + std::to_string(cols) + " simd=" +
+                   (simd_on ? "on" : "off"));
+      dist::DistOptions opts;
+      opts.hops = 1;
+      auto dist_or = dist::RunDistributedPropagation(g, parts, x, opts,
+                                                     core::RunContext{});
+      ASSERT_TRUE(dist_or.ok()) << dist_or.status().ToString();
+      EXPECT_TRUE(BytesEqual(want, dist_or.value()));
     }
   }
 }
